@@ -31,9 +31,9 @@ race:
 	$(GO) test -race ./...
 
 # Quick suite under the race detector: the scheduler, determinism and
-# cancellation tests that exercise every parallel path, plus the
+# cancellation tests that exercise every parallel path, the
 # balloon/resize/registry lifecycle tests that hammer the reservation paths
-# from concurrent VMs.
+# from concurrent VMs, and concurrent copy/scrub/hammer on one DRAM model.
 race-quick:
 	$(GO) test -race -run 'TestParallelDeterminism|TestRunAll|TestPoolMap|TestCancellation|TestRepSeed|TestRegistry|TestRenderers' ./internal/experiments
 	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize' ./internal/core
@@ -42,6 +42,7 @@ race-quick:
 	$(GO) test -race -run 'TestConcurrentFleetChurn' ./internal/fleet
 	$(GO) test -race -run 'TestGenerateEarlyStopDeterminism' ./internal/workload
 	$(GO) test -race -run 'TestConcurrentServeResize|TestServeFleetMoveChurn' ./internal/serve
+	$(GO) test -race -run 'TestConcurrentPhysRangeOps' ./internal/dram
 
 # Packages with substrate microbenchmarks (address decode, the memory
 # controller, the DRAM module) — the hot paths the BENCH_*.json baseline

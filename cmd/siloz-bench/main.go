@@ -11,6 +11,7 @@
 //
 //	siloz-bench [-exp NAME[,NAME...]] [-json] [-quick] [-seed N] [-ops N]
 //	            [-reps N] [-parallel N] [-timeout D] [-csv DIR] [-patterns N]
+//	            [-cpuprofile FILE] [-memprofile FILE]
 package main
 
 import (
@@ -40,6 +41,11 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this duration (0 = none)")
 	common := cliflags.Register(flag.CommandLine)
 	flag.Parse()
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stopProfiles()
 
 	if *list {
 		for _, n := range experiments.Names() {

@@ -12,7 +12,7 @@
 //
 //	siloz-blacksmith [-mode siloz|baseline] [-mitigation kind] [-dimm A..F]
 //	                 [-patterns N] [-quick] [-seed N] [-ops N] [-reps N]
-//	                 [-parallel N] [-json]
+//	                 [-parallel N] [-json] [-cpuprofile FILE] [-memprofile FILE]
 //
 // With -mitigation, the machine deploys the named Rowhammer defense (none,
 // para, silver-bullet, catt, siloz) and the hypervisor mode follows it; the
@@ -170,6 +170,11 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit a machine-readable JSON report per rep")
 	common := cliflags.Register(flag.CommandLine)
 	flag.Parse()
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stopProfiles()
 
 	mode := core.ModeSiloz
 	switch *modeFlag {
@@ -230,7 +235,7 @@ func main() {
 
 	reports := make([]jsonReport, reps)
 	pool := experiments.NewPool(common.Workers())
-	err := pool.Map(context.Background(), reps, func(i int) error {
+	err = pool.Map(context.Background(), reps, func(i int) error {
 		rep, err := campaign(mode, spec, prof, *vmGiB, *patterns, *windows, maxActs,
 			experiments.RepSeed(common.Seed, i))
 		if err != nil {
@@ -268,6 +273,7 @@ func main() {
 		if !*asJSON {
 			fmt.Println("RESULT: inter-VM Rowhammer SUCCEEDED — isolation violated")
 		}
+		stopProfiles()
 		os.Exit(1)
 	}
 	if !*asJSON {

@@ -11,6 +11,7 @@
 //
 //	siloz-fleet [-hosts N] [-rounds N] [-arrivals N] [-policy NAME[,NAME...]]
 //	            [-json] [-quick] [-seed N] [-parallel N] [-timeout D]
+//	            [-cpuprofile FILE] [-memprofile FILE]
 package main
 
 import (
@@ -40,6 +41,11 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = none)")
 	common := cliflags.Register(flag.CommandLine)
 	flag.Parse()
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stopProfiles()
 
 	fc := experiments.DefaultFleetConfig()
 	if common.Quick {
@@ -102,6 +108,7 @@ func main() {
 		fmt.Print(experiments.RenderText(r))
 	}
 	if !r.Passed() {
+		stopProfiles()
 		log.Fatal("fleet-churn has failing checks")
 	}
 }

@@ -21,6 +21,7 @@
 //
 //	siloz-infer [-true-size N] [-dimm A..F] [-adjacency] [-pairs N]
 //	            [-quick] [-ops N] [-reps N] [-seed N] [-parallel N]
+//	            [-cpuprofile FILE] [-memprofile FILE]
 package main
 
 import (
@@ -64,6 +65,11 @@ func main() {
 	pairs := flag.Int("pairs", 8, "aggressor triples to probe per rep in -adjacency mode")
 	common := cliflags.Register(flag.CommandLine)
 	flag.Parse()
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stopProfiles()
 
 	var prof dram.Profile
 	found := false
@@ -133,6 +139,7 @@ func main() {
 			fmt.Println("RESULT: adjacency confirmed — the mapping hypothesis places neighbors correctly")
 		} else {
 			fmt.Println("RESULT: adjacency NOT confirmed")
+			stopProfiles()
 			os.Exit(1)
 		}
 		return
@@ -159,7 +166,7 @@ func main() {
 		prof.Name, prof.TRRTableSize, prof.HammerThreshold, prof.Transforms)
 	sizes := make([]int, reps)
 	pool := experiments.NewPool(common.Workers())
-	err := pool.Map(context.Background(), reps, func(i int) error {
+	err = pool.Map(context.Background(), reps, func(i int) error {
 		got, err := infer(g, prof, cfg)
 		if err != nil {
 			return err
@@ -179,6 +186,7 @@ func main() {
 		fmt.Println("RESULT: correct — failed attacks observed at every multiple of the true size (§4.1)")
 	} else {
 		fmt.Println("RESULT: MISMATCH")
+		stopProfiles()
 		os.Exit(1)
 	}
 }

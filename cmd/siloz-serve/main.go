@@ -11,6 +11,7 @@
 //	siloz-serve [-qps N] [-slo-us N] [-duration-ms N] [-defense NAME[,NAME...]]
 //	            [-scenario NAME[,NAME...]] [-json] [-quick] [-seed N]
 //	            [-reps N] [-parallel N] [-timeout D]
+//	            [-cpuprofile FILE] [-memprofile FILE]
 package main
 
 import (
@@ -41,6 +42,11 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = none)")
 	common := cliflags.Register(flag.CommandLine)
 	flag.Parse()
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stopProfiles()
 
 	sc := experiments.DefaultServingSLOConfig()
 	if common.Quick {
@@ -116,6 +122,7 @@ func main() {
 		fmt.Print(experiments.RenderText(r))
 	}
 	if !r.Passed() {
+		stopProfiles()
 		log.Fatal("serving-slo has failing checks")
 	}
 }

@@ -11,6 +11,7 @@
 //
 //	siloz-sim [-mode siloz|baseline] [-tenants N] [-workload NAME]
 //	          [-quick] [-seed N] [-ops N] [-reps N] [-parallel N]
+//	          [-cpuprofile FILE] [-memprofile FILE]
 package main
 
 import (
@@ -55,6 +56,11 @@ func main() {
 	patterns := flag.Int("patterns", 25, "attacker fuzzing patterns")
 	common := cliflags.Register(flag.CommandLine)
 	flag.Parse()
+	stopProfiles, err := common.StartProfiles()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stopProfiles()
 
 	mode := core.ModeSiloz
 	if *modeFlag == "baseline" {
@@ -167,6 +173,7 @@ func main() {
 	}
 	if escaped > 0 {
 		fmt.Printf("RESULT: %d bit flips landed OUTSIDE the attacker's domain — co-located tenants corrupted\n", escaped)
+		stopProfiles()
 		os.Exit(1)
 	}
 	fmt.Println("RESULT: every bit flip stayed inside the attacker's own subarray groups")

@@ -48,6 +48,23 @@ type BankDecoder interface {
 	DecodeBank(pa uint64) (bank, row, socket int, err error)
 }
 
+// Striper is an optional Mapper capability for callers that walk a
+// physical range row by row instead of line by line (the DRAM model's
+// copy, scrub and presence probe). From a cache-line-aligned address the
+// interleave deals consecutive lines round-robin over ways rows, and the
+// lines one row receives sit at consecutive columns: for i < span/64, the
+// line at pa + i*64 lands in the bank and row of the line at
+// pa + (i mod ways)*64, (i / ways)*64 bytes further along the row. A caller
+// therefore decodes ways lines per stripe, not span/64. Callers
+// feature-detect it once and fall back to one decode per line when absent.
+type Striper interface {
+	// Stripe returns the interleave width at the line-aligned address pa
+	// and the bytes from pa over which the rule holds (at least one line).
+	// An address outside the mapping yields (1, CacheLineSize), leaving
+	// the caller's Decode to report it.
+	Stripe(pa uint64) (ways int, span int64)
+}
+
 // Kind selects a physical-to-media mapping family.
 type Kind int
 

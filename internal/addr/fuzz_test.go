@@ -159,6 +159,73 @@ func TestMapperFastPathEquivalence(t *testing.T) {
 	}
 }
 
+// checkStripeAt checks Striper against Decode at the line holding pa: every
+// line of the stripe must land in the row of its round-robin head, at the
+// column the rule predicts.
+func checkStripeAt(t *testing.T, m refMapper, pa uint64, rng *rand.Rand) {
+	t.Helper()
+	pa &^= geometry.CacheLineSize - 1
+	ways, span := m.(Striper).Stripe(pa)
+	total := uint64(m.Geometry().TotalBytes())
+	if pa >= total {
+		if ways != 1 || span != geometry.CacheLineSize {
+			t.Fatalf("%T Stripe(%#x) beyond memory = (%d, %d), want (1, 64)", m, pa, ways, span)
+		}
+		return
+	}
+	if ways < 1 || span < geometry.CacheLineSize || span%geometry.CacheLineSize != 0 || pa+uint64(span) > total {
+		t.Fatalf("%T Stripe(%#x) = (%d, %d): malformed", m, pa, ways, span)
+	}
+	lines := int(span / geometry.CacheLineSize)
+	for _, i := range []int{0, 1, ways - 1, ways, ways + 1, lines - 1, rng.Intn(lines), rng.Intn(lines)} {
+		if i < 0 || i >= lines {
+			continue
+		}
+		got, err := m.Decode(pa + uint64(i)*geometry.CacheLineSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, err := m.Decode(pa + uint64(i%ways)*geometry.CacheLineSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := head
+		want.Col += i / ways * geometry.CacheLineSize
+		if got != want {
+			t.Fatalf("%T Stripe(%#x) = (%d, %d): line %d decodes to %v, stripe rule says %v",
+				m, pa, ways, span, i, got, want)
+		}
+	}
+}
+
+// FuzzStripeMatchesDecode cross-checks every mapper's Stripe against its
+// Decode.
+func FuzzStripeMatchesDecode(f *testing.F) {
+	ms := equivalenceMappers(f)
+	f.Add(uint64(0), uint8(0))
+	f.Add(uint64(768)<<20-64, uint8(0))
+	f.Add(uint64(geometry.Default().SocketBytes())-4096, uint8(1))
+	f.Add(^uint64(0), uint8(3))
+	f.Fuzz(func(t *testing.T, pa uint64, which uint8) {
+		checkStripeAt(t, ms[int(which)%len(ms)], pa, rand.New(rand.NewSource(int64(pa))))
+	})
+}
+
+// TestStripeMatchesDecode sweeps randomized and boundary addresses through
+// every mapper's Stripe on every normal test run.
+func TestStripeMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, m := range equivalenceMappers(t) {
+		total := uint64(m.Geometry().TotalBytes())
+		for _, pa := range []uint64{0, 64, total - 64, total, total + 4096} {
+			checkStripeAt(t, m, pa, rng)
+		}
+		for i := 0; i < 2_000; i++ {
+			checkStripeAt(t, m, rng.Uint64()%total, rng)
+		}
+	}
+}
+
 // FuzzInternalRowRoundTrip checks the transform chain inverse for arbitrary
 // rows, ranks and sides.
 func FuzzInternalRowRoundTrip(f *testing.F) {

@@ -123,6 +123,18 @@ func (m *PartitionedMapper) DecodeBank(pa uint64) (bank, row, socket int, err er
 	return bank, int(rowGroup), int(skt), nil
 }
 
+// Stripe implements Striper: a partition-local row group is one contiguous
+// physical span whose lines cycle through the partition's banks.
+func (m *PartitionedMapper) Stripe(pa uint64) (ways int, span int64) {
+	if pa >= uint64(m.totalBytes) {
+		return 1, geometry.CacheLineSize
+	}
+	_, off := m.divSocket.divmod(int64(pa))
+	_, inPart := m.divPart.divmod(off)
+	_, inGroup := m.divRowGroup.divmod(inPart)
+	return m.banksPer, m.rowGroupBytes - inGroup
+}
+
 // Encode is the inverse of Decode.
 func (m *PartitionedMapper) Encode(addr geometry.MediaAddr) (uint64, error) {
 	if !m.bnd.valid(addr) {

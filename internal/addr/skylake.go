@@ -190,6 +190,17 @@ func (m *SkylakeMapper) DecodeBank(pa uint64) (bank, row, socket int, err error)
 	return int(skt*m.banksPerSkt) + bankIdx, int(rowGroup), int(skt), nil
 }
 
+// Stripe implements Striper: a row group is one contiguous physical span
+// whose lines cycle through every bank of the socket, all in the group's
+// row.
+func (m *SkylakeMapper) Stripe(pa uint64) (ways int, span int64) {
+	if pa >= uint64(m.totalBytes) {
+		return 1, geometry.CacheLineSize
+	}
+	_, inGroup := m.divRowGroup.divmod(int64(pa))
+	return int(m.banksPerSkt), m.rowGroupBytes - inGroup
+}
+
 // Encode is the inverse of Decode.
 func (m *SkylakeMapper) Encode(addr geometry.MediaAddr) (uint64, error) {
 	if !m.bnd.valid(addr) {
@@ -367,6 +378,16 @@ func (m *LinearMapper) DecodeBank(pa uint64) (bank, row, socket int, err error) 
 	}
 	flat, off := m.divBank.divmod(int64(pa))
 	return int(flat), int(m.divRow.div(off)), m.bankIDs[flat].Socket, nil
+}
+
+// Stripe implements Striper: each row is one contiguous physical span.
+func (m *LinearMapper) Stripe(pa uint64) (ways int, span int64) {
+	if pa >= uint64(m.totalBytes) {
+		return 1, geometry.CacheLineSize
+	}
+	_, off := m.divBank.divmod(int64(pa))
+	_, col := m.divRow.divmod(off)
+	return 1, m.rowBytes - col
 }
 
 // Encode is the inverse of Decode.

@@ -7,15 +7,23 @@
 //	-ops N       operations per run (0 = command default)
 //	-reps N      repetitions per configuration (0 = command default)
 //	-parallel N  worker pool width (0 = GOMAXPROCS)
+//	-cpuprofile FILE  write a CPU profile of the run to FILE
+//	-memprofile FILE  write a heap profile to FILE at exit
 //
-// Commands register the set with Register and read the parsed values from
-// the returned Common. The package deliberately depends on nothing but the
-// standard library so every cmd/ binary can use it.
+// Commands register the set with Register, read the parsed values from the
+// returned Common, and run the two profiles with StartProfiles. The package
+// deliberately depends on nothing but the standard library so every cmd/
+// binary can use it.
 package cliflags
 
 import (
 	"flag"
+	"fmt"
+	"log"
+	"os"
 	"runtime"
+	"runtime/pprof"
+	"sync"
 )
 
 // Common holds the parsed values of the shared flags.
@@ -30,6 +38,10 @@ type Common struct {
 	Reps int
 	// Parallel bounds the worker pool; 0 means GOMAXPROCS.
 	Parallel int
+	// CPUProfile names the file a CPU profile of the run goes to; "" = none.
+	CPUProfile string
+	// MemProfile names the file a heap profile goes to at exit; "" = none.
+	MemProfile string
 }
 
 // Register installs the shared flags on fs with their canonical spellings
@@ -41,7 +53,58 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.IntVar(&c.Ops, "ops", 0, "operations per run (0 = command default)")
 	fs.IntVar(&c.Reps, "reps", 0, "repetitions per configuration (0 = command default)")
 	fs.IntVar(&c.Parallel, "parallel", 0, "worker pool width (0 = GOMAXPROCS)")
+	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&c.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
 	return c
+}
+
+// StartProfiles starts the CPU profile -cpuprofile asks for and returns the
+// function that ends it and writes the heap profile -memprofile asks for.
+// Call stop before the command exits; os.Exit and log.Fatal skip deferred
+// calls, so exits on failing checks call it first. stop runs once however
+// often it is called and reports failures through the log package. The
+// profiles write only their named files, never stdout.
+func (c *Common) StartProfiles() (stop func(), err error) {
+	var cpu *os.File
+	if c.CPUProfile != "" {
+		if cpu, err = os.Create(c.CPUProfile); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("starting CPU profile: %w", err)
+		}
+	}
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			if cpu != nil {
+				pprof.StopCPUProfile()
+				if err := cpu.Close(); err != nil {
+					log.Printf("writing CPU profile: %v", err)
+				}
+			}
+			if c.MemProfile != "" {
+				if err := writeHeapProfile(c.MemProfile); err != nil {
+					log.Printf("writing heap profile: %v", err)
+				}
+			}
+		})
+	}, nil
+}
+
+// writeHeapProfile writes an up-to-date heap profile to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // fold the latest allocations into the profile
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Workers resolves -parallel to a concrete pool width.

@@ -90,6 +90,7 @@ func TestConcurrentWriterDuringMigration(t *testing.T) {
 	const chunk = 8 * geometry.KiB
 	stop := make(chan struct{})
 	done := make(chan error, 1)
+	firstPass := make(chan struct{})
 	go func() {
 		buf := make([]byte, chunk)
 		for ver := byte(1); ; ver++ {
@@ -101,15 +102,25 @@ func TestConcurrentWriterDuringMigration(t *testing.T) {
 			}
 			for p := 0; p < hotPages; p++ {
 				for i := range buf {
-					buf[i] = ver ^ byte(p)
+					buf[i] = ver<<3 | byte(p+1) // never zero
 				}
 				if err := vm.WriteGuest(uint64(p)*geometry.PageSize2M, buf); err != nil {
 					done <- err
 					return
 				}
 			}
+			if ver == 1 {
+				close(firstPass)
+			}
 		}
 	}()
+	// Every hot page holds data before the copy starts, however quickly the
+	// migration then runs.
+	select {
+	case <-firstPass:
+	case err := <-done:
+		t.Fatalf("writer failed: %v", err)
+	}
 
 	rep, err := h.MigrateVM(context.Background(), "live", []int{dest.ID}, MigrateOptions{
 		StopPages: 1, MaxRounds: 8,

@@ -29,6 +29,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"time"
@@ -190,13 +191,20 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	written := make([]bool, ramPages) // dst frames the engine has written
 	buf := make([]byte, geometry.PageSize2M)
 	copyPage := func(p int) (uint64, error) {
+		// A page that is still all-zero at the source needs no copy: its
+		// fresh destination frame is already zero. Pages with no line
+		// materialized are skipped unread; the rest are read and checked.
+		// Once the engine has written a frame it always rewrites it (the
+		// guest may have re-zeroed a page).
+		if !written[p] {
+			present, err := h.mem.Materialized(srcRAM[p], len(buf))
+			if err != nil || !present {
+				return 0, err
+			}
+		}
 		if err := h.mem.ReadPhys(srcRAM[p], buf); err != nil {
 			return 0, err
 		}
-		// A page that is still all-zero was never materialized at the
-		// source; its fresh destination frame is already zero, so nothing
-		// needs to move. Once the engine has written a frame it always
-		// rewrites it (the guest may have re-zeroed a page).
 		if !written[p] && allZero(buf) {
 			return 0, nil
 		}
@@ -311,13 +319,14 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	rbuf := buf[:geometry.PageSize4K]
 	for _, mr := range dstRegions {
 		for i, src := range vm.regions[mr.idx].pages {
-			if err := h.mem.ReadPhys(src, rbuf); err == nil && !allZero(rbuf) {
-				if werr := h.mem.WritePhys(mr.pages[i], rbuf); werr != nil {
-					vm.Resume()
-					rollback(true)
-					return nil, werr
-				}
-			} else if err != nil {
+			present, err := h.mem.Materialized(src, len(rbuf))
+			if err == nil && present {
+				err = h.mem.ReadPhys(src, rbuf)
+			}
+			if err == nil && present && !allZero(rbuf) {
+				err = h.mem.WritePhys(mr.pages[i], rbuf)
+			}
+			if err != nil {
 				vm.Resume()
 				rollback(true)
 				return nil, err
@@ -652,8 +661,14 @@ func (h *Hypervisor) rollbackMigration(vm *VM, destIDs []int, dstRAM []uint64, d
 	}
 }
 
-// allZero reports whether a buffer is entirely zero bytes.
+// allZero reports whether a buffer is entirely zero bytes, eight at a time.
 func allZero(b []byte) bool {
+	for len(b) >= 8 {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+		b = b[8:]
+	}
 	for _, c := range b {
 		if c != 0 {
 			return false

@@ -14,7 +14,8 @@ import (
 type Memory struct {
 	g       geometry.Geometry
 	mapper  addr.Mapper
-	modules [][]*Module // [socket][dimm]
+	striper addr.Striper // mapper's stripe capability; nil walks line by line
+	modules [][]*Module  // [socket][dimm]
 }
 
 // NewMemory builds server memory. profiles are assigned to DIMM slots
@@ -29,6 +30,7 @@ func NewMemory(g geometry.Geometry, mapper addr.Mapper, profiles []Profile, repa
 		return nil, fmt.Errorf("dram: at least one profile required")
 	}
 	mem := &Memory{g: g, mapper: mapper, modules: make([][]*Module, g.Sockets)}
+	mem.striper, _ = mapper.(addr.Striper)
 	for s := 0; s < g.Sockets; s++ {
 		mem.modules[s] = make([]*Module, g.DIMMsPerSocket)
 		for d := 0; d < g.DIMMsPerSocket; d++ {
@@ -60,54 +62,110 @@ func (m *Memory) moduleFor(b geometry.BankID) (*Module, error) {
 }
 
 // WritePhys stores bytes at a host physical address, spanning rows and
-// banks as the mapping dictates.
+// banks as the mapping dictates. Zeros written over lines that hold no data
+// materialize nothing.
 func (m *Memory) WritePhys(pa uint64, data []byte) error {
-	return m.iter(pa, len(data), func(mod *Module, ma geometry.MediaAddr, off, n int) error {
-		return mod.WriteRow(ma.Bank, ma.Row, ma.Col, data[off:off+n])
+	return m.walk(pa, len(data), func(s *rowStore, r run) bool {
+		s.write(r, data)
+		return true
 	})
 }
 
 // ReadPhys reads len(buf) bytes at a host physical address.
 func (m *Memory) ReadPhys(pa uint64, buf []byte) error {
-	return m.iter(pa, len(buf), func(mod *Module, ma geometry.MediaAddr, off, n int) error {
-		return mod.ReadRow(ma.Bank, ma.Row, ma.Col, buf[off:off+n])
+	return m.walk(pa, len(buf), func(s *rowStore, r run) bool {
+		s.read(r, buf)
+		return true
 	})
-}
-
-// iter walks a physical range in cache-line pieces (the mapping
-// granularity), invoking fn with the owning module and media location.
-func (m *Memory) iter(pa uint64, n int, fn func(mod *Module, ma geometry.MediaAddr, off, n int) error) error {
-	off := 0
-	for off < n {
-		cur := pa + uint64(off)
-		chunk := geometry.CacheLineSize - int(cur%geometry.CacheLineSize)
-		if chunk > n-off {
-			chunk = n - off
-		}
-		ma, err := m.mapper.Decode(cur)
-		if err != nil {
-			return err
-		}
-		mod, err := m.moduleFor(ma.Bank)
-		if err != nil {
-			return err
-		}
-		if err := fn(mod, ma, off, chunk); err != nil {
-			return err
-		}
-		off += chunk
-	}
-	return nil
 }
 
 // ScrubPhys zeroes n bytes at a host physical address. Untouched rows stay
 // unmaterialized, so scrubbing terabytes of never-written guest RAM costs
 // almost nothing — the sparse analogue of the kernel's free-page
-// sanitization.
+// sanitization — and a row is released as soon as the scrub has zeroed the
+// last of its lines that held data.
 func (m *Memory) ScrubPhys(pa uint64, n int) error {
-	return m.iter(pa, n, func(mod *Module, ma geometry.MediaAddr, off, n int) error {
-		return mod.ScrubRow(ma.Bank, ma.Row, ma.Col, n)
+	return m.walk(pa, n, func(s *rowStore, r run) bool {
+		s.scrub(r.bankIdx, r.row, r.col, r.span())
+		return true
 	})
+}
+
+// Materialized reports whether any cache line of [pa, pa+n) may hold data.
+// false means the whole range reads zero, so a copy can skip it unread;
+// true says only that some line was written or flipped since its last
+// scrub (it may hold zeros again).
+func (m *Memory) Materialized(pa uint64, n int) (bool, error) {
+	found := false
+	err := m.walk(pa, n, func(s *rowStore, r run) bool {
+		found = s.anySet(r.bankIdx, r.row, r.col, r.span())
+		return !found
+	})
+	return found, err
+}
+
+// walk splits [pa, pa+n) into runs and calls visit for each, under the
+// owning module's rowsMu; visit returning false ends the walk. A partial
+// head or tail line is a run of its own. Whole lines go stripe by stripe
+// (addr.Striper): the ways rows a stripe interleaves over each take one run,
+// so a walk decodes one line per row it touches, not one per line. Without
+// the capability every line is its own stripe.
+//
+// The module lock is held across consecutive runs on the same module and
+// released before the next module's is taken: a walk never holds two
+// module locks and never takes actMu, so commitFlips' actMu→rowsMu order
+// stays the only nesting. A line never spans two runs, so concurrent walks
+// never see a torn 64 B line.
+func (m *Memory) walk(pa uint64, n int, visit func(*rowStore, run) bool) error {
+	const line = geometry.CacheLineSize
+	var held *Module
+	defer func() {
+		if held != nil {
+			held.rowsMu.Unlock()
+		}
+	}()
+	for off := 0; off < n; {
+		cur := pa + uint64(off)
+		ways, lines := 1, 1
+		piece := min(line-int(cur%line), n-off)
+		if piece == line && n-off > line && m.striper != nil {
+			w, span := m.striper.Stripe(cur)
+			lines = max(int(min(span, int64(n-off))/line), 1)
+			ways = min(max(w, 1), lines)
+		}
+		perRow, extra := lines/ways, lines%ways // the first extra rows take one more line
+		for i := 0; i < ways; i++ {
+			r := run{off: off + i*line, stride: ways * line, pieces: perRow, n: piece}
+			if i < extra {
+				r.pieces++
+			}
+			lpa := cur + uint64(i*line)
+			ma, err := m.mapper.Decode(lpa)
+			if err != nil {
+				return err
+			}
+			mod, err := m.moduleFor(ma.Bank)
+			if err != nil {
+				return err
+			}
+			if uint(ma.Row) >= uint(m.g.RowsPerBank) || ma.Col < 0 || ma.Col+r.span() > m.g.RowBytes {
+				return fmt.Errorf("dram: mapper placed %d bytes at %#x outside a row: %v", r.span(), lpa, ma)
+			}
+			r.bankIdx, r.row, r.col = mod.rows.bankIndex(ma.Bank.Rank, ma.Bank.Bank), ma.Row, ma.Col
+			if mod != held {
+				if held != nil {
+					held.rowsMu.Unlock()
+				}
+				mod.rowsMu.Lock()
+				held = mod
+			}
+			if !visit(mod.rows, r) {
+				return nil
+			}
+		}
+		off += (lines-1)*line + piece
+	}
+	return nil
 }
 
 // ActivatePhys issues count activations of the row backing a physical

@@ -355,24 +355,16 @@ func (m *Module) commitFlips(bs *bankState, side addr.Side, virt int, aggMediaRo
 		return
 	}
 	mediaRow := m.mediaRowOf(bs, virt, side)
+	bankIdx := m.rows.bankIndex(bs.id.Rank, bs.id.Bank)
+	halfBit := 0
+	if side == addr.SideB {
+		halfBit = m.g.RowBytes / 2 * 8
+	}
 	m.rowsMu.Lock()
 	defer m.rowsMu.Unlock()
-	row := m.rowLocked(bs.id, mediaRow)
-	halfBase := 0
-	if side == addr.SideB {
-		halfBase = m.g.RowBytes / 2
-	}
 	for _, c := range cells {
-		byteOff := halfBase + c.bit/8
-		mask := byte(1) << (c.bit % 8)
-		cur := row[byteOff]&mask != 0
-		if cur == c.failsTo {
+		if !m.rows.setBit(bankIdx, mediaRow, halfBit+c.bit, c.failsTo) {
 			continue // already at fail value; nothing observable
-		}
-		if c.failsTo {
-			row[byteOff] |= mask
-		} else {
-			row[byteOff] &^= mask
 		}
 		m.flips = append(m.flips, Flip{
 			Bank: bs.id, MediaRow: mediaRow, Side: side, Bit: c.bit,
@@ -460,25 +452,35 @@ func (m *Module) ResetFlips() {
 	m.flips = nil
 }
 
-// rowLocked returns the backing storage of a media row, allocating zeroed
-// bytes on first touch. Caller holds rowsMu.
-func (m *Module) rowLocked(b geometry.BankID, mediaRow int) []byte {
-	return m.rows.rowAlloc(m.rows.bankIndex(b.Rank, b.Bank), mediaRow)
+// validRow checks that (b, mediaRow) names a row of this module and that
+// [col, col+n) lies inside it.
+func (m *Module) validRow(verb string, b geometry.BankID, mediaRow, col, n int) error {
+	if !m.owns(b) || mediaRow < 0 || mediaRow >= m.g.RowsPerBank {
+		return fmt.Errorf("dram: %s target %v row %d invalid", verb, b, mediaRow)
+	}
+	if col < 0 || n < 0 || col+n > m.g.RowBytes {
+		return fmt.Errorf("dram: %s [%d,%d) outside row", verb, col, col+n)
+	}
+	return nil
+}
+
+// rowRun is row bytes [col, col+n) as a one-piece run over a buffer of n
+// bytes.
+func (m *Module) rowRun(b geometry.BankID, mediaRow, col, n int) run {
+	return run{bankIdx: m.rows.bankIndex(b.Rank, b.Bank), row: mediaRow, col: col, pieces: 1, n: n}
 }
 
 // WriteRow stores data into a row starting at column col. The copy itself
 // runs under the row lock, so a concurrent reader of the same row (a live
 // migration round copying a page the guest is still writing) observes
-// whole cache lines, never torn ones.
+// whole cache lines, never torn ones. Zeros written over lines that hold no
+// data do not materialize the row.
 func (m *Module) WriteRow(b geometry.BankID, mediaRow, col int, data []byte) error {
-	if !m.owns(b) || mediaRow < 0 || mediaRow >= m.g.RowsPerBank {
-		return fmt.Errorf("dram: write target %v row %d invalid", b, mediaRow)
-	}
-	if col < 0 || col+len(data) > m.g.RowBytes {
-		return fmt.Errorf("dram: write [%d,%d) outside row", col, col+len(data))
+	if err := m.validRow("write", b, mediaRow, col, len(data)); err != nil {
+		return err
 	}
 	m.rowsMu.Lock()
-	copy(m.rowLocked(b, mediaRow)[col:], data)
+	m.rows.write(m.rowRun(b, mediaRow, col, len(data)), data)
 	m.rowsMu.Unlock()
 	return nil
 }
@@ -486,47 +488,26 @@ func (m *Module) WriteRow(b geometry.BankID, mediaRow, col int, data []byte) err
 // ReadRow copies a row's bytes starting at column col into buf. Reading an
 // untouched row yields zeros without materializing backing storage.
 func (m *Module) ReadRow(b geometry.BankID, mediaRow, col int, buf []byte) error {
-	if !m.owns(b) || mediaRow < 0 || mediaRow >= m.g.RowsPerBank {
-		return fmt.Errorf("dram: read target %v row %d invalid", b, mediaRow)
-	}
-	if col < 0 || col+len(buf) > m.g.RowBytes {
-		return fmt.Errorf("dram: read [%d,%d) outside row", col, col+len(buf))
+	if err := m.validRow("read", b, mediaRow, col, len(buf)); err != nil {
+		return err
 	}
 	m.rowsMu.Lock()
-	if r := m.rows.row(m.rows.bankIndex(b.Rank, b.Bank), mediaRow); r != nil {
-		copy(buf, r[col:])
-	} else {
-		for i := range buf {
-			buf[i] = 0
-		}
-	}
+	m.rows.read(m.rowRun(b, mediaRow, col, len(buf)), buf)
 	m.rowsMu.Unlock()
 	return nil
 }
 
 // ScrubRow zeroes a row segment without materializing untouched storage: a
-// row that was never written already reads as zeros, and a fully-scrubbed
-// row's backing is released. It is the hypervisor's page-sanitization
-// primitive — memory returned to a free pool must not leak the previous
-// tenant's bytes.
+// row that was never written already reads as zeros, and a row is released
+// as soon as no line of it holds data, however the scrub is split. It is
+// the hypervisor's page-sanitization primitive — memory returned to a free
+// pool must not leak the previous tenant's bytes.
 func (m *Module) ScrubRow(b geometry.BankID, mediaRow, col, n int) error {
-	if !m.owns(b) || mediaRow < 0 || mediaRow >= m.g.RowsPerBank {
-		return fmt.Errorf("dram: scrub target %v row %d invalid", b, mediaRow)
-	}
-	if col < 0 || n < 0 || col+n > m.g.RowBytes {
-		return fmt.Errorf("dram: scrub [%d,%d) outside row", col, col+n)
+	if err := m.validRow("scrub", b, mediaRow, col, n); err != nil {
+		return err
 	}
 	m.rowsMu.Lock()
-	bankIdx := m.rows.bankIndex(b.Rank, b.Bank)
-	if r := m.rows.row(bankIdx, mediaRow); r != nil {
-		if col == 0 && n == m.g.RowBytes {
-			m.rows.release(bankIdx, mediaRow)
-		} else {
-			for i := col; i < col+n; i++ {
-				r[i] = 0
-			}
-		}
-	}
+	m.rows.scrub(m.rows.bankIndex(b.Rank, b.Bank), mediaRow, col, n)
 	m.rowsMu.Unlock()
 	return nil
 }

@@ -22,6 +22,18 @@ func rowStoreTestGeometry() geometry.Geometry {
 	return g
 }
 
+// rowAlloc materializes a row and returns its raw bytes for the arena tests
+// below to write directly. Every line is marked present, since any of them
+// may now hold data.
+func (s *rowStore) rowAlloc(bankIdx, mediaRow int) []byte {
+	ref := s.alloc(bankIdx, mediaRow)
+	m := s.mask(ref)
+	for line := 0; line < s.rowBytes/geometry.CacheLineSize; line++ {
+		m[line/64] |= 1 << (line % 64)
+	}
+	return s.slot(ref)
+}
+
 // TestRowStoreGoldenAgainstMap drives the arena and the previous map
 // implementation through the same randomized alloc/write/release schedule and
 // demands identical observable state at every step.
